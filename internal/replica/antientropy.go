@@ -177,12 +177,13 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 	selfMember := map[string]bool{}
 	peerKeys := map[string][]string{} // peer -> shared keys (self and peer both members)
 	var peers []string                // first-appearance order over sorted keys
-	for _, key := range c.Engine.Keys() {
+	res := arcResolver{c: c}
+	for _, key := range c.arcOrder(c.Engine.Keys()) {
 		item, ok := c.Engine.Get(key)
 		if !ok {
 			continue
 		}
-		set, err := c.Resolve(ctx, key)
+		set, err := res.resolve(ctx, key)
 		if err != nil || len(set) == 0 {
 			if err != nil && firstErr == nil {
 				firstErr = err
@@ -271,7 +272,7 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 			m.AEBytes.Add(itemWireBytes(it))
 			theirs[it.Key] = it
 			if _, held := c.Engine.Get(it.Key); !held {
-				set, rErr := c.Resolve(ctx, it.Key)
+				set, rErr := res.resolve(ctx, it.Key)
 				if rErr != nil || !contains(set, c.Self) {
 					continue // not ours to hold: never seed a stray copy
 				}
@@ -324,6 +325,55 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 	m.Lag.Set(float64(pulled + pushed))
 	m.AERounds.Inc()
 	return pulled, pushed, dropped, firstErr
+}
+
+// arcOrder sorts keys by ring identifier, clockwise from just after this
+// node's own. Every run of keys sharing an owner then starts at the
+// first held key of that owner's arc, the wrapping arc included, so
+// arcResolver resolves each arc once. Without a NodeID mapping the
+// order is left as is.
+func (c *Coordinator) arcOrder(keys []string) []string {
+	if c.NodeID == nil {
+		return keys
+	}
+	self := id.ID(c.NodeID(c.Self))
+	// Counter-clockwise distance back to self: largest just after self,
+	// zero for a key on self's own identifier (the last of self's arc).
+	back := make(map[string]id.ID, len(keys))
+	for _, k := range keys {
+		back[k] = id.Sub(self, id.ID(c.KeyID(k)))
+	}
+	sort.SliceStable(keys, func(i, j int) bool { return back[keys[i]].Cmp(back[keys[j]]) > 0 })
+	return keys
+}
+
+// arcResolver resolves replica sets one owner arc at a time. The set
+// resolved for key k also holds for every key in [k, owner]: the owner
+// is k's successor, so no node lies in that arc. With keys in arcOrder
+// a round costs one Resolve per owner arc instead of one per key.
+type arcResolver struct {
+	c    *Coordinator
+	arcs []resolvedArc
+}
+
+// resolvedArc is a key-ID arc [lo, hi] whose keys all share set.
+type resolvedArc struct {
+	lo, hi id.ID
+	set    []string
+}
+
+func (r *arcResolver) resolve(ctx context.Context, key string) ([]string, error) {
+	kid := id.ID(r.c.KeyID(key))
+	for _, a := range r.arcs {
+		if kid == a.lo || (a.lo != a.hi && id.InOpenClosed(kid, a.lo, a.hi)) {
+			return a.set, nil
+		}
+	}
+	set, err := r.c.Resolve(ctx, key)
+	if err == nil && len(set) > 0 && r.c.NodeID != nil {
+		r.arcs = append(r.arcs, resolvedArc{lo: kid, hi: id.ID(r.c.NodeID(set[0])), set: set})
+	}
+	return set, err
 }
 
 // rehomeForeign pushes keys this node no longer owes to their current

@@ -94,6 +94,10 @@ type Coordinator struct {
 	// transport's lookups use — so anti-entropy can describe held data
 	// as key-ID arcs. Required for AntiEntropyOnce.
 	KeyID func(key string) [20]byte
+	// NodeID maps a member address to its ring identifier. Optional: with
+	// it, AntiEntropyOnce resolves one replica set per owner arc instead
+	// of one per held key.
+	NodeID func(addr string) [20]byte
 	// Clock is the data-lifecycle time base, shared with the Engine's
 	// injected clock. Nil means no expiry (TTL is ignored).
 	Clock func() uint64

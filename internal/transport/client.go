@@ -896,19 +896,25 @@ func (n *Node) StabilizeLayer(layer int) error {
 		n.repairLayer(layer)
 		return nil
 	}
-	// Adopt the successor's predecessor when it sits between us; when
-	// we are our own successor this adopts the first joiner that
-	// notified us (Between(x, a, a) holds for every x != a).
-	if nb.Pred.Addr != "" && nb.Pred.Addr != n.addr &&
-		id.Between(peerID(nb.Pred), n.id, peerID(s0)) {
-		if _, err := n.callBG(nb.Pred.Addr, wire.Request{Type: wire.TPing}); err == nil {
-			s0 = nb.Pred
-			resp, err := n.callBG(s0.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer})
-			if err != nil {
-				return nil
-			}
-			nb = resp
+	// Follow the predecessor chain back toward us while the successor's
+	// predecessor sits between us (Chord's stabilize run to its local
+	// fixpoint): a node that joined behind s0 is adopted, then whatever
+	// joined behind it, so a ring left star-shaped by sequential joins
+	// heals in one round instead of one node per round. When we are our
+	// own successor the first step adopts the first joiner that notified
+	// us (Between(x, a, a) holds for every x != a). Fetching the
+	// candidate's neighbors doubles as its liveness probe; a failed step
+	// keeps the last successor that answered.
+	for i := 0; i < maxWalk; i++ {
+		p := nb.Pred
+		if p.Addr == "" || p.Addr == n.addr || !id.Between(peerID(p), n.id, peerID(s0)) {
+			break
 		}
+		resp, err := n.callBG(p.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer})
+		if err != nil {
+			break
+		}
+		s0, nb = p, resp
 	}
 	if s0.Addr == n.addr {
 		// Still a singleton ring: own the whole identifier space, but keep

@@ -343,6 +343,7 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 		Metrics: replica.NewMetrics(reg),
 		Now:     time.Now,
 		KeyID:   liveKeyBytes,
+		NodeID:  func(addr string) [20]byte { return [20]byte(NodeID(addr)) },
 		Clock:   n.clock,
 		TTL:     uint64(cfg.TTL),
 	}
@@ -737,7 +738,7 @@ func (n *Node) recordEvictLocked(layer int, dead string) {
 
 // findClosestLocked is one iterative routing step in a layer (paper §3.2):
 // report ownership, ring-predecessor termination, or the closest preceding
-// finger toward the key.
+// node toward the key.
 func (n *Node) findClosestLocked(req wire.Request) wire.Response {
 	ls, err := n.layerFor(req.Layer)
 	if err != nil {
@@ -765,13 +766,25 @@ func (n *Node) findClosestLocked(req wire.Request) wire.Response {
 	if id.InOpenClosed(key, n.id, peerID(succ0)) {
 		return wire.Response{OK: true, Next: succ0, Done: true, Self: n.selfLocked()}
 	}
-	// Closest preceding finger, falling back to the successor.
+	// Closest preceding node over fingers and the successor list (Chord's
+	// closest_preceding_node): without fingers a step still advances up
+	// to SuccListLen nodes. succ0 precedes the key here, so it is the
+	// fallback.
 	next := succ0
+	closer := func(p wire.Peer) bool {
+		return p.Addr != "" && p.Addr != n.addr && id.Between(peerID(p), peerID(next), key)
+	}
+	// Fingers grow clockwise with k, so the first one from the top that
+	// beats succ0 is the closest finger.
 	for k := id.Bits - 1; k >= 0; k-- {
-		f := ls.fingers[k]
-		if f.Addr != "" && f.Addr != n.addr && id.Between(peerID(f), n.id, key) {
+		if f := ls.fingers[k]; closer(f) {
 			next = f
 			break
+		}
+	}
+	for _, p := range ls.succ[1:] {
+		if closer(p) {
+			next = p
 		}
 	}
 	return wire.Response{OK: true, Next: next, Done: false, Self: n.selfLocked()}

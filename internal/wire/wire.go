@@ -84,6 +84,11 @@ const (
 	// it knows that the sender does not (Response.Events). The merge is a
 	// join-semilattice, so replays and reordering are no-ops.
 	TRouteGossip
+
+	// msgTypeEnd is one past the last operation. New operations go above
+	// it; AllMsgTypes and the per-type metric arrays derive from it. It
+	// is an int, not a MsgType: it names no operation.
+	msgTypeEnd int = iota + 1
 )
 
 func (m MsgType) String() string {

@@ -3,9 +3,12 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // echoServer serves framed sessions on a fresh TCP listener, answering
@@ -197,5 +200,32 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 	if MsgType(99).String() == "" {
 		t.Error("unknown type should render")
+	}
+}
+
+// TestAllMsgTypesComplete pins the instrumentation list to the enum:
+// every operation below the end sentinel is listed, has its own name,
+// and gets a pre-curried counter instead of the per-call label fallback.
+func TestAllMsgTypesComplete(t *testing.T) {
+	if len(AllMsgTypes) != msgTypeEnd-1 {
+		t.Fatalf("AllMsgTypes has %d entries, want %d", len(AllMsgTypes), msgTypeEnd-1)
+	}
+	m := NewMetrics(metrics.NewRegistry())
+	seen := map[string]MsgType{}
+	for i, mt := range AllMsgTypes {
+		if want := MsgType(i + 1); mt != want {
+			t.Errorf("AllMsgTypes[%d] = %d, want %d", i, mt, want)
+		}
+		name := mt.String()
+		if name == fmt.Sprintf("MsgType(%d)", uint8(mt)) {
+			t.Errorf("MsgType %d has no String() name", mt)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("MsgTypes %d and %d share the name %q", prev, mt, name)
+		}
+		seen[name] = mt
+		if m.reqs[mt] == nil || m.errs[mt] == nil || m.srvReqs[mt] == nil || m.srvErrs[mt] == nil {
+			t.Errorf("MsgType %s has no pre-curried counters", name)
+		}
 	}
 }
