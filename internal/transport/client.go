@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/binning"
 	"repro/internal/id"
+	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/wire"
 )
@@ -488,34 +489,22 @@ type LookupResult struct {
 // Lookup routes hierarchically from this node to the owner of key,
 // consulting the acceleration tiers first: the one-hop route table in
 // RouteOneHop mode, then the location cache when one is configured.
-// Both tiers follow the same verify-or-fallback contract — a hinted
-// owner is confirmed with a single RPC before use — so staleness costs
-// one wasted call, never a wrong answer. The context bounds the whole
-// lookup: cancellation or a deadline aborts the walk between (and
-// inside) hops.
+// Both tiers follow the same verify-or-fallback contract (verifyHint), so
+// staleness costs one wasted call, never a wrong answer. The context
+// bounds the whole lookup: cancellation or a deadline aborts the walk
+// between (and inside) hops.
 func (n *Node) Lookup(ctx context.Context, key id.ID) (LookupResult, error) {
 	n.nm.lookups.Inc()
 	if n.routes != nil {
-		if owner, ok := n.routes.Owner(1, "", [20]byte(key)); ok {
-			if res, ok := n.verifyCachedOwner(ctx, owner, key); ok {
-				n.nm.onehopHits.Inc()
-				return res, nil
-			}
-			n.nm.onehopStale.Inc()
-			if n.suspectDead(owner.Addr) {
-				// The table named a dead owner; tombstone it so the walk
-				// below (and every later lookup) stops consulting it.
-				n.evictLocal(1, owner.Addr)
-			}
+		owner, ok := n.routes.Owner(1, "", [20]byte(key))
+		if res, hit := n.verifyHint(ctx, key, owner, ok, n.nm.onehopHits, n.dropRouteHint); hit {
+			return res, nil
 		}
 	}
 	if n.cache != nil {
-		if owner, ok := n.cache.get(key); ok {
-			if res, ok := n.verifyCachedOwner(ctx, owner, key); ok {
-				n.nm.cacheHits.Inc()
-				return res, nil
-			}
-			n.cache.remove(key)
+		owner, ok := n.cache.get(key)
+		if res, hit := n.verifyHint(ctx, key, owner, ok, n.nm.cacheHits, func(wire.Peer) { n.cache.remove(key) }); hit {
+			return res, nil
 		}
 		n.nm.cacheMisses.Inc()
 	}
@@ -541,99 +530,65 @@ func (n *Node) Lookup(ctx context.Context, key id.ID) (LookupResult, error) {
 	return res, err
 }
 
-// verifyCachedOwner checks a cached binding with a single RPC: the
-// hierarchical destination check at the cached peer. Only a confirmed
-// owner is used, so cache staleness can waste one call but never
-// misroute.
-func (n *Node) verifyCachedOwner(ctx context.Context, owner wire.Peer, key id.ID) (LookupResult, bool) {
+// verifyHint is one acceleration tier's verify-or-fallback step. A
+// hinted owner (ok) is checked with a single RPC, the hierarchical
+// destination check at the hinted peer, and counted as a hit only when
+// the peer confirms it owns the key; otherwise drop discards the hint
+// and the caller falls through to the next tier. Only a confirmed owner
+// is used, so a stale hint can waste one call but never misroute. A hit
+// on a key this node owns itself costs no hop: the check runs in process.
+func (n *Node) verifyHint(ctx context.Context, key id.ID, owner wire.Peer, ok bool, hit *metrics.Counter, drop func(wire.Peer)) (LookupResult, bool) {
+	if !ok {
+		return LookupResult{}, false
+	}
 	resp, err := n.call(ctx, owner.Addr, wire.Request{
 		Type: wire.TFindClosest, Layer: 1, Key: [20]byte(key), Hierarchical: true,
 	})
 	if err != nil || !resp.Owner {
+		drop(owner)
 		return LookupResult{}, false
 	}
-	res := LookupResult{Owner: resp.Next, Hops: 1, LayerHops: make([]int, n.cfg.Depth)}
-	res.LayerHops[0] = 1
-	n.nm.hops[0].Inc()
+	hit.Inc()
+	res := LookupResult{Owner: resp.Next, LayerHops: make([]int, n.cfg.Depth)}
+	if owner.Addr != n.addr {
+		res.Hops, res.LayerHops[0] = 1, 1
+		n.nm.hops[0].Inc()
+	}
 	return res, true
 }
 
-// lookupFull is the uncached hierarchical routing procedure. It degrades
-// gracefully under failures: a dead hop is first retried from the node
-// that supplied it (with eviction once suspicion is confirmed), then the
-// layer walk restarts from this node, and when a lower layer stays
-// unroutable the lookup climbs to the next layer up instead of aborting
-// — the global ring is the final authority on ownership, so skipping a
-// broken lower ring costs hops, never correctness.
+// dropRouteHint handles a one-hop table entry that failed verification:
+// count it stale and, when the failure detector confirms the peer dead,
+// tombstone it so the walk (and every later lookup) stops consulting it.
+func (n *Node) dropRouteHint(owner wire.Peer) {
+	n.nm.onehopStale.Inc()
+	if n.suspectDead(owner.Addr) {
+		n.evictLocal(1, owner.Addr)
+	}
+}
+
+// lookupFull is the uncached hierarchical routing procedure: one walk
+// over (layer, cur, prev), starting in the most local ring at this node.
+// Every step is one RPC and every forward is one hop. A node whose ring
+// ends at it climbs inside the step and reports the layer it answered
+// in, so the walk follows resp.Layer upward; the global ring's Done
+// names the owner. The walk degrades gracefully under failures: a dead
+// hop is first retried from the node that supplied it (with eviction
+// once suspicion is confirmed), then the layer walk restarts from this
+// node, and when a lower layer stays unroutable the lookup climbs to the
+// next layer up instead of aborting — the global ring is the final
+// authority on ownership, so skipping a broken lower ring costs hops,
+// never correctness.
 func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) {
 	res := LookupResult{LayerHops: make([]int, n.cfg.Depth)}
-	cur := n.addr
-	prev := ""
-	// Lower layers, most local first.
-	for layer := n.cfg.Depth; layer >= 2; layer-- {
-		prev = ""
-		restarts := 0
-		for i := 0; ; i++ {
-			if i >= maxWalk {
-				return res, fmt.Errorf("transport: layer %d walk did not converge", layer)
-			}
-			resp, err := n.call(ctx, cur, wire.Request{
-				Type: wire.TFindClosest, Layer: layer, Key: [20]byte(key),
-				Hierarchical: true,
-			})
-			if err != nil {
-				if wire.IsRemote(err) {
-					return res, err
-				}
-				suspect := n.suspectDead(cur)
-				if suspect {
-					n.evictLocal(layer, cur)
-				}
-				if prev != "" && prev != cur {
-					n.nm.walkRetries.Inc()
-					if suspect {
-						n.evictAt(prev, layer, cur)
-					}
-					cur, prev = prev, ""
-					continue
-				}
-				if restarts < maxWalkRestarts && cur != n.addr {
-					restarts++
-					n.nm.walkRestarts.Inc()
-					cur, prev = n.addr, ""
-					continue
-				}
-				// This ring is unroutable right now; climb a layer and
-				// keep going rather than failing the lookup.
-				n.nm.failoverClimbs.Inc()
-				cur, prev = n.addr, ""
-				break
-			}
-			if resp.Owner {
-				res.Owner = resp.Next
-				return res, nil
-			}
-			if resp.Done {
-				n.nm.ringClimbs.Inc()
-				cur = resp.Self.Addr // continue upward from the ring predecessor
-				break
-			}
-			prev = cur
-			cur = resp.Next.Addr
-			res.Hops++
-			res.LayerHops[layer-1]++
-			n.nm.hops[layer-1].Inc()
-		}
-	}
-	// Global ring.
-	prev = ""
-	restarts := 0
-	for i := 0; ; i++ {
-		if i >= maxWalk {
-			return res, fmt.Errorf("transport: global walk did not converge")
+	layer, cur, prev := n.cfg.Depth, n.addr, ""
+	steps, restarts := 0, 0
+	for {
+		if steps++; steps > maxWalk {
+			return res, fmt.Errorf("transport: layer %d walk did not converge", layer)
 		}
 		resp, err := n.call(ctx, cur, wire.Request{
-			Type: wire.TFindClosest, Layer: 1, Key: [20]byte(key),
+			Type: wire.TFindClosest, Layer: layer, Key: [20]byte(key),
 			Hierarchical: true,
 		})
 		if err != nil {
@@ -642,12 +597,12 @@ func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) 
 			}
 			suspect := n.suspectDead(cur)
 			if suspect {
-				n.evictLocal(1, cur)
+				n.evictLocal(layer, cur)
 			}
 			if prev != "" && prev != cur {
 				n.nm.walkRetries.Inc()
 				if suspect {
-					n.evictAt(prev, 1, cur)
+					n.evictAt(prev, layer, cur)
 				}
 				cur, prev = prev, ""
 				continue
@@ -658,24 +613,36 @@ func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) 
 				cur, prev = n.addr, ""
 				continue
 			}
-			return res, err
+			if layer == 1 {
+				return res, err
+			}
+			// This ring is unroutable right now; climb a layer and keep
+			// going rather than failing the lookup.
+			n.nm.failoverClimbs.Inc()
+			layer, cur, prev, steps, restarts = layer-1, n.addr, "", 0, 0
+			continue
 		}
 		if resp.Owner {
 			res.Owner = resp.Next
 			return res, nil
 		}
+		if resp.Layer < 1 || resp.Layer > layer {
+			return res, fmt.Errorf("transport: %s answered a layer-%d step in layer %d", cur, layer, resp.Layer)
+		}
+		if resp.Layer < layer {
+			n.nm.ringClimbs.Add(uint64(layer - resp.Layer))
+			layer, steps, restarts = resp.Layer, 0, 0
+		}
+		res.Hops++
+		res.LayerHops[layer-1]++
+		n.nm.hops[layer-1].Inc()
 		if resp.Done {
+			// Only the global ring answers Done: the final forward to the
+			// key's successor.
 			res.Owner = resp.Next
-			res.Hops++
-			res.LayerHops[0]++
-			n.nm.hops[0].Inc()
 			return res, nil
 		}
-		prev = cur
-		cur = resp.Next.Addr
-		res.Hops++
-		res.LayerHops[0]++
-		n.nm.hops[0].Inc()
+		prev, cur = cur, resp.Next.Addr
 	}
 }
 

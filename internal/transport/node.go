@@ -217,7 +217,7 @@ type Node struct {
 	co        *replica.Coordinator // quorum write/read/sweep driver over the store
 	cache     *lookupCache         // nil when Config.LookupCache == 0
 	routes    *routes.Table        // one-hop membership table; nil unless RouteMode == RouteOneHop
-	caller    wire.Caller          // full outgoing chain: (coalescer) → retrier → (injector) → instrumented pool
+	caller    wire.Caller          // full outgoing chain: (coalescer) → retrier → (injector) → instrumented dispatch
 	retrier   *wire.Retrier
 	coalescer *wire.Coalescer // nil unless Config.Coalesce; drained on Close
 	pool      *wire.Pool
@@ -302,6 +302,9 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 		reg = metrics.NewRegistry()
 	}
 	n.nm = newNodeMetrics(reg, cfg.Depth)
+	if n.cfg.Codec == nil {
+		n.cfg.Codec = wire.DefaultCodec()
+	}
 	n.pool = wire.NewPool(wire.PoolOptions{
 		Codec:        cfg.Codec,
 		Dial:         cfg.Dial,
@@ -310,7 +313,7 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 		WriteTimeout: cfg.CallTimeout,
 		ConnWrap:     n.nm.wm.CountConn,
 	})
-	base := n.nm.wm.Wrap(n.pool)
+	base := n.nm.wm.Wrap(wire.CallerFunc(n.dispatch))
 	if cfg.WrapCaller != nil {
 		base = cfg.WrapCaller(n.addr, base)
 	}
@@ -354,6 +357,24 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
+}
+
+// dispatch is the bottom of the outgoing call chain, under the metrics,
+// WrapCaller and retry layers: a call addressed to the node itself is
+// served in process, every other call goes to the pool. The layers above
+// see the same calls, counts and errors either way; only the transport
+// leg of a self call is gone. After Close a self call fails the way a
+// call to any closed node does.
+func (n *Node) dispatch(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+	if addr != n.addr {
+		return n.pool.Call(ctx, addr, req)
+	}
+	select {
+	case <-n.closed:
+		return wire.Response{}, &wire.NetError{Addr: addr, Op: "dial", Sent: false, Err: wire.ErrConnRefused}
+	default:
+	}
+	return wire.CallLocal(ctx, n.cfg.Codec, addr, req, n.handle, n.nm.wm.ObserveServed)
 }
 
 // Addr returns the node's listen address.
@@ -738,13 +759,18 @@ func (n *Node) recordEvictLocked(layer int, dead string) {
 
 // findClosestLocked is one iterative routing step in a layer (paper §3.2):
 // report ownership, ring-predecessor termination, or the closest preceding
-// node toward the key.
+// node toward the key. A hierarchical step whose ring ends here climbs in
+// place: the paper continues the walk one layer up from the node that
+// ended the lower one, and that node is this one, so the next layer's
+// step runs under the same lock hold instead of costing the client a
+// second RPC. Response.Layer names the layer that answered.
 func (n *Node) findClosestLocked(req wire.Request) wire.Response {
 	ls, err := n.layerFor(req.Layer)
 	if err != nil {
 		return wire.Errorf("%v", err)
 	}
 	key := id.ID(req.Key)
+	self := n.selfLocked()
 	if req.Hierarchical {
 		// Destination check of the multi-layer procedure (paper §3.2): am
 		// I the key's owner in the GLOBAL ring? Only the first node of a
@@ -752,19 +778,32 @@ func (n *Node) findClosestLocked(req wire.Request) wire.Response {
 		// between-layer check exactly.
 		gp := n.layers[0].pred
 		if gp.Addr != "" && id.InOpenClosed(key, peerID(gp), n.id) {
-			return wire.Response{OK: true, Next: n.selfLocked(), Done: true, Owner: true, Self: n.selfLocked()}
+			return wire.Response{OK: true, Next: self, Done: true, Owner: true, Self: self, Layer: req.Layer}
 		}
 	} else if ls.pred.Addr != "" && id.InOpenClosed(key, peerID(ls.pred), n.id) {
 		// Ring-local shortcut for join-time walks: this node is the key's
 		// successor within the queried ring.
-		return wire.Response{OK: true, Next: n.selfLocked(), Done: true, Owner: true, Self: n.selfLocked()}
+		return wire.Response{OK: true, Next: self, Done: true, Owner: true, Self: self, Layer: req.Layer}
 	}
+	for layer := req.Layer; ; layer-- {
+		resp := n.stepLocked(layer, key, self)
+		if !resp.Done || !req.Hierarchical || layer == 1 {
+			return resp
+		}
+	}
+}
+
+// stepLocked is the ring-local part of a routing step in one layer: Done
+// when the key falls between this node and its successor, else the
+// closest preceding node toward the key.
+func (n *Node) stepLocked(layer int, key id.ID, self wire.Peer) wire.Response {
+	ls := n.layers[layer-1]
 	if len(ls.succ) == 0 {
-		return wire.Errorf("layer %d not joined", req.Layer)
+		return wire.Errorf("layer %d not joined", layer)
 	}
 	succ0 := ls.succ[0]
 	if id.InOpenClosed(key, n.id, peerID(succ0)) {
-		return wire.Response{OK: true, Next: succ0, Done: true, Self: n.selfLocked()}
+		return wire.Response{OK: true, Next: succ0, Done: true, Self: self, Layer: layer}
 	}
 	// Closest preceding node over fingers and the successor list (Chord's
 	// closest_preceding_node): without fingers a step still advances up
@@ -787,5 +826,5 @@ func (n *Node) findClosestLocked(req wire.Request) wire.Response {
 			next = p
 		}
 	}
-	return wire.Response{OK: true, Next: next, Done: false, Self: n.selfLocked()}
+	return wire.Response{OK: true, Next: next, Done: false, Self: self, Layer: layer}
 }

@@ -80,8 +80,9 @@ const (
 	rsDigests
 	rsItems
 	rsEvents
+	rsLayer
 
-	rsKnown = rsEvents<<1 - 1
+	rsKnown = rsLayer<<1 - 1
 )
 
 // AppendRequest implements Codec.
@@ -320,6 +321,9 @@ func (Binary) AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	if len(resp.Events) > 0 {
 		mask |= rsEvents
 	}
+	if resp.Layer != 0 {
+		mask |= rsLayer
+	}
 	dst = binary.AppendUvarint(dst, mask)
 	if mask&rsErr != 0 {
 		dst = appendString(dst, resp.Err)
@@ -384,6 +388,9 @@ func (Binary) AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 		for i := range resp.Events {
 			dst = appendEvent(dst, &resp.Events[i])
 		}
+	}
+	if mask&rsLayer != 0 {
+		dst = binary.AppendVarint(dst, int64(resp.Layer))
 	}
 	return dst, nil
 }
@@ -490,6 +497,11 @@ func (Binary) DecodeResponse(data []byte) (Response, error) {
 	}
 	if mask&rsEvents != 0 {
 		if resp.Events, err = r.events(); err != nil {
+			return resp, err
+		}
+	}
+	if mask&rsLayer != 0 {
+		if resp.Layer, err = r.vint(); err != nil {
 			return resp, err
 		}
 	}

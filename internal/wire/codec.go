@@ -37,6 +37,27 @@ type Codec interface {
 	DecodeResponse(data []byte) (Response, error)
 }
 
+// appendRequest is c.AppendRequest with the default codec dispatched
+// statically. An envelope whose address goes through the Codec interface
+// escapes to the heap, so the exchange path would copy every request it
+// sends; only the generic path pays that copy now.
+func appendRequest(c Codec, dst []byte, req *Request) ([]byte, error) {
+	if _, ok := c.(Binary); ok {
+		return Binary{}.AppendRequest(dst, req)
+	}
+	cp := *req
+	return c.AppendRequest(dst, &cp)
+}
+
+// appendResponse is appendRequest for the response envelope.
+func appendResponse(c Codec, dst []byte, resp *Response) ([]byte, error) {
+	if _, ok := c.(Binary); ok {
+		return Binary{}.AppendResponse(dst, resp)
+	}
+	cp := *resp
+	return c.AppendResponse(dst, &cp)
+}
+
 // Codec preamble identifiers (see preamble layout in session.go).
 const (
 	codecIDGob    byte = 1

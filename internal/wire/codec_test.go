@@ -40,6 +40,7 @@ func testResponses() []Response {
 		{OK: true},
 		{OK: false, Err: "no such ring"},
 		{OK: true, Next: Peer{Addr: "n:1", ID: [20]byte{8}}, Done: true, Owner: true},
+		{OK: true, Next: Peer{Addr: "n:2", ID: [20]byte{9}}, Self: Peer{Addr: "s:0"}, Layer: 1},
 		{OK: true, Self: Peer{Addr: "s:0", ID: [20]byte{1}},
 			RingNames: []string{"10", "22"}, Landmarks: []string{"l:1", "l:2"},
 			Coord: [2]float64{3.25, -8.5},
@@ -95,6 +96,47 @@ func TestCodecCrossEquivalence(t *testing.T) {
 					Codecs()[0].Name(), decoded[0], Codecs()[i].Name(), decoded[i])
 			}
 		}
+	}
+}
+
+// TestResponseLayerRoundTrip pins the protocol-version-2 field: the layer
+// a find_closest step answered in survives both codecs, including the
+// climbed case (a Done answered below the requested layer) and the
+// signed range the binary varint must carry.
+func TestResponseLayerRoundTrip(t *testing.T) {
+	for _, layer := range []int{1, 2, 3, 64, -1} {
+		in := Response{OK: true, Next: Peer{Addr: "n:7", ID: [20]byte{7}}, Done: layer == 1, Layer: layer}
+		for _, c := range Codecs() {
+			enc, err := c.AppendResponse(nil, &in)
+			if err != nil {
+				t.Fatalf("%s: encode layer %d: %v", c.Name(), layer, err)
+			}
+			got, err := c.DecodeResponse(enc)
+			if err != nil {
+				t.Fatalf("%s: decode layer %d: %v", c.Name(), layer, err)
+			}
+			if !reflect.DeepEqual(normalizeResp(in), normalizeResp(got)) {
+				t.Errorf("%s: layer %d round trip: got %#v", c.Name(), layer, got)
+			}
+		}
+	}
+	// Layer 0 is the zero value: the binary mask leaves its bit clear, so
+	// responses that carry no layer (every non-routing answer) cost nothing.
+	plain, err := Binary{}.AppendResponse(nil, &Response{OK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withLayer, err := Binary{}.AppendResponse(nil, &Response{OK: true, Layer: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain) != 1 || len(withLayer) <= len(plain) {
+		t.Errorf("binary sizes: plain %d bytes, with layer %d bytes", len(plain), len(withLayer))
+	}
+	// The committed corpus carries a climbed answer with the bit set.
+	seed, err := Binary{}.DecodeResponse(corpusSeeds(t)["seed_climb_resp_binary"])
+	if err != nil || seed.Layer != 1 {
+		t.Errorf("corpus seed_climb_resp_binary: layer %d, err %v; want layer 1", seed.Layer, err)
 	}
 }
 

@@ -35,6 +35,10 @@ func (e *NetError) Error() string {
 
 func (e *NetError) Unwrap() error { return e.Err }
 
+// ErrPoolClosed is wrapped by calls made on a Pool after Close: the
+// request never left, and the pool opens no new connection for it.
+var ErrPoolClosed = errors.New("wire: pool closed")
+
 // ErrCircuitOpen is wrapped by calls rejected without dialing because the
 // peer's circuit breaker is open. It is not retryable: the breaker's
 // cooldown, not a retry loop, decides when the peer is probed again.

@@ -43,6 +43,9 @@ func FuzzDecodeMessage(f *testing.F) {
 			{Layer: 2, Ring: "az", Peer: Peer{Addr: "n5:9000"}, Kind: RouteEvict, Stamp: 40},
 		},
 	}
+	seedClimb := &Response{
+		OK: true, Next: Peer{Addr: "n7:9000", ID: [20]byte{7}}, Self: Peer{Addr: "n1:9000"}, Layer: 1,
+	}
 	seedGossipResp := &Response{
 		OK: true, Applied: 1,
 		Events: []RouteEvent{{Layer: 1, Ring: "global", Peer: Peer{Addr: "n6:9000"}, Kind: RouteLeave, Stamp: 7}},
@@ -70,6 +73,9 @@ func FuzzDecodeMessage(f *testing.F) {
 			f.Add(b)
 		}
 		if b, err := c.AppendResponse(nil, seedGossipResp); err == nil {
+			f.Add(b)
+		}
+		if b, err := c.AppendResponse(nil, seedClimb); err == nil {
 			f.Add(b)
 		}
 	}
@@ -117,6 +123,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(TPing), 1, []byte("key material"), "ring:a", "n0:9000", []byte("value"), true)
 	f.Add(uint8(TPut), 3, []byte{}, "", "", []byte(nil), false)
 	f.Add(uint8(TEvict), -7, bytes.Repeat([]byte{0xaa}, 40), "deep/ring", "host:1", []byte{0}, true)
+	f.Add(uint8(TFindClosest), 2, []byte("climb"), "", "n2:9000", []byte(nil), true)
 
 	f.Fuzz(func(t *testing.T, typ uint8, layer int, keyMat []byte, name, addr string, value []byte, hier bool) {
 		var key, pid [20]byte
@@ -142,7 +149,7 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		resp := Response{
 			OK: true, Err: name,
-			Next: Peer{Addr: addr, ID: key}, Done: hier, Owner: !hier,
+			Next: Peer{Addr: addr, ID: key}, Done: hier, Owner: !hier, Layer: layer,
 			Self: Peer{Addr: addr, ID: pid}, RingNames: []string{name, name + "x"},
 			Landmarks: []string{addr}, Coord: [2]float64{float64(layer), 0.5},
 			Succ: []Peer{{Addr: addr}}, Pred: Peer{ID: key},

@@ -97,10 +97,14 @@ func (p *Pool) Call(ctx context.Context, addr string, req Request) (Response, er
 	if err := ctx.Err(); err != nil {
 		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: context.Cause(ctx)}
 	}
+	pp := p.peer(addr)
+	if pp == nil {
+		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: ErrPoolClosed}
+	}
 	if p.o.Size < 0 {
 		return CallVia(ctx, p.o.dialWrapped, p.o.Codec, addr, req)
 	}
-	c, err := p.peer(addr).conn(ctx)
+	c, err := pp.conn(ctx)
 	if err != nil {
 		return Response{}, err
 	}
@@ -133,9 +137,13 @@ func (o *PoolOptions) dialWrapped(addr string, timeout time.Duration) (net.Conn,
 	return o.ConnWrap(conn), nil
 }
 
+// peer returns addr's connection set, or nil once the pool is closed.
 func (p *Pool) peer(addr string) *poolPeer {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return nil
+	}
 	pp, ok := p.peers[addr]
 	if !ok {
 		pp = &poolPeer{pool: p, addr: addr}
@@ -156,6 +164,7 @@ type poolPeer struct {
 	mu      sync.Mutex
 	conns   []*muxConn
 	growing bool // a background grow-dial is in flight
+	closed  bool // the pool closed: a dial that lands now is failed, not kept
 }
 
 // conn returns a connection to run one exchange on: the least-loaded
@@ -180,6 +189,12 @@ func (pp *poolPeer) conn(ctx context.Context) (*muxConn, error) {
 		return nil, err
 	}
 	pp.mu.Lock()
+	if pp.closed {
+		// Close ran while we dialed; nothing would ever close this one.
+		pp.mu.Unlock()
+		c.fail(ErrPoolClosed)
+		return nil, &NetError{Addr: pp.addr, Op: "dial", Sent: false, Err: ErrPoolClosed}
+	}
 	pp.conns = append(pp.conns, c)
 	pp.mu.Unlock()
 	return c, nil
@@ -278,9 +293,10 @@ func (pp *poolPeer) close() {
 	pp.mu.Lock()
 	conns := pp.conns
 	pp.conns = nil
+	pp.closed = true
 	pp.mu.Unlock()
 	for _, c := range conns {
-		c.fail(fmt.Errorf("wire: pool closed"))
+		c.fail(ErrPoolClosed)
 	}
 }
 
@@ -332,7 +348,7 @@ func (c *muxConn) broken() bool {
 func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Response, error) {
 	pb := getFrameBuf()
 	buf := append((*pb)[:0], frameHole[:]...)
-	buf, encErr := c.codec.AppendRequest(buf, &req)
+	buf, encErr := appendRequest(c.codec, buf, &req)
 	if encErr != nil {
 		*pb = buf
 		putFrameBuf(pb)

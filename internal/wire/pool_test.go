@@ -528,3 +528,88 @@ func TestPoolExpiredContextSendsNothing(t *testing.T) {
 		t.Fatalf("server handled %d frame(s) from an expired exchange, want none", got-warm)
 	}
 }
+
+// TestPoolCallAfterCloseFails is the regression test for calls on a
+// closed pool: each must fail as a not-sent NetError wrapping
+// ErrPoolClosed and open no connection. Before the fix the call dialed a
+// fresh connection that nothing ever closed, leaking its reader and the
+// server session (the package's leakcheck gate reports those).
+func TestPoolCallAfterCloseFails(t *testing.T) {
+	for _, size := range []int{1, -1} {
+		mn := NewMemNet()
+		accepts := servePool(t, mn, "peer", func(req Request) Response { return Response{OK: true} })
+		p := NewPool(PoolOptions{Dial: mn.Dial, Size: size})
+		if _, err := poolCall(p, "peer", Request{Type: TPing}, 2*time.Second); err != nil {
+			t.Fatalf("size %d: call before Close: %v", size, err)
+		}
+		p.Close()
+		_, err := poolCall(p, "peer", Request{Type: TPing}, 2*time.Second)
+		var ne *NetError
+		if !errors.As(err, &ne) || ne.Sent || ne.Op != "dial" || !errors.Is(err, ErrPoolClosed) {
+			t.Fatalf("size %d: call after Close: err = %v, want a not-sent dial NetError wrapping ErrPoolClosed", size, err)
+		}
+		if n := atomic.LoadInt32(accepts); n != 1 {
+			t.Errorf("size %d: %d accepts, want 1 (a closed pool must not dial)", size, n)
+		}
+	}
+}
+
+// TestPoolDialRacingCloseIsNotKept pins the other half of the fix: a
+// connection whose dial completes after Close is failed, not registered
+// on a peer nothing will close again.
+func TestPoolDialRacingCloseIsNotKept(t *testing.T) {
+	leakcheck.Watchdog(t, 30*time.Second)
+	mn := NewMemNet()
+	servePool(t, mn, "peer", func(req Request) Response { return Response{OK: true} })
+	var p *Pool
+	dial := func(addr string, timeout time.Duration) (net.Conn, error) {
+		p.Close() // Close lands while this dial is in flight
+		return mn.Dial(addr, timeout)
+	}
+	p = NewPool(PoolOptions{Dial: dial, Size: 1})
+	_, err := poolCall(p, "peer", Request{Type: TPing}, 2*time.Second)
+	if !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("call whose dial raced Close: err = %v, want ErrPoolClosed", err)
+	}
+}
+
+// BenchmarkPoolExchange is the cost of one pooled find_closest exchange
+// over MemNet: encode, tag, frame write, server dispatch, response
+// decode and the hand-off back to the caller.
+func BenchmarkPoolExchange(b *testing.B) {
+	mn := NewMemNet()
+	ln, err := mn.Listen("peer")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	next := Peer{Addr: "n7", ID: [20]byte{7, 7}}
+	self := Peer{Addr: "peer", ID: [20]byte{1}}
+	go func() {
+		for {
+			conn, acceptErr := ln.Accept()
+			if acceptErr != nil {
+				return
+			}
+			go func() {
+				_ = ServeConn(conn, func(req Request) Response {
+					return Response{OK: true, Next: next, Self: self, Layer: req.Layer}
+				}, ServeOptions{})
+			}()
+		}
+	}()
+	p := NewPool(PoolOptions{Dial: mn.Dial})
+	defer p.Close()
+	req := Request{Type: TFindClosest, Layer: 2, Key: [20]byte{9, 9}, Hierarchical: true}
+	ctx := context.Background()
+	if _, err := p.Call(ctx, "peer", req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Call(ctx, "peer", req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -15,12 +16,16 @@ import (
 //
 //	[0x00]['H']['W'][version u8][codec id u8][3 reserved zero bytes]
 //
+// Version 2 added Response.Layer: a hierarchical find_closest may answer
+// from a lower-numbered layer than it was asked in, which a version-1
+// client would misread as an answer in the requested layer.
+//
 // The leading zero byte can never begin a gob stream or a frame of
 // plausible length, so a peer speaking an older or foreign protocol fails
 // fast with a clear error instead of a decode hang.
 const (
 	preambleLen     = 8
-	protocolVersion = 1
+	protocolVersion = 2
 )
 
 // appendPreamble appends the session preamble for codec c.
@@ -148,7 +153,7 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 func writeFrame(conn net.Conn, wmu *sync.Mutex, codec Codec, tag uint64, resp *Response, timeout time.Duration) error {
 	pb := getFrameBuf()
 	buf := append((*pb)[:0], frameHole[:]...)
-	buf, err := codec.AppendResponse(buf, resp)
+	buf, err := appendResponse(codec, buf, resp)
 	if err == nil {
 		putFrameHeader(buf, tag)
 		wmu.Lock()
@@ -161,4 +166,46 @@ func writeFrame(conn net.Conn, wmu *sync.Mutex, codec Codec, tag uint64, resp *R
 	*pb = buf
 	putFrameBuf(pb)
 	return err
+}
+
+// CallLocal answers req with an in-process handler, for a node calling
+// its own address. Values cross the same codec a wire exchange uses,
+// through a pooled frame buffer, so neither side aliases the other's
+// memory (a Put's value buffer, a handler's Succ slice) and both see the
+// values a round trip would give them. It skips only the transport leg:
+// the frame write, the server goroutine and the read back. A non-OK
+// answer is a *RemoteError, as from Pool; observe, when non-nil, sees the
+// request as ServeOptions.Observe would.
+func CallLocal(ctx context.Context, codec Codec, addr string, req Request, h Handler, observe func(MsgType, bool)) (Response, error) {
+	if err := ctx.Err(); err != nil {
+		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: context.Cause(ctx)}
+	}
+	pb := getFrameBuf()
+	defer putFrameBuf(pb)
+	buf, err := appendRequest(codec, (*pb)[:0], &req)
+	*pb = buf
+	if err != nil {
+		return Response{}, &NetError{Addr: addr, Op: "send", Sent: false, Err: err}
+	}
+	in, err := codec.DecodeRequest(buf)
+	if err != nil {
+		return Response{}, &NetError{Addr: addr, Op: "send", Sent: true, Err: err}
+	}
+	resp := h(in)
+	if observe != nil {
+		observe(in.Type, resp.OK)
+	}
+	buf, err = appendResponse(codec, buf[:0], &resp)
+	*pb = buf
+	if err != nil {
+		return Response{}, &NetError{Addr: addr, Op: "recv", Sent: true, Err: err}
+	}
+	out, err := codec.DecodeResponse(buf)
+	if err != nil {
+		return Response{}, &NetError{Addr: addr, Op: "recv", Sent: true, Err: err}
+	}
+	if !out.OK {
+		return out, &RemoteError{Type: req.Type, Msg: out.Err}
+	}
+	return out, nil
 }

@@ -229,6 +229,10 @@ type Response struct {
 	Next  Peer // next hop (or the owner when Done)
 	Done  bool // the queried node precedes the key in this layer
 	Owner bool // the queried node itself owns the key
+	// Layer is the ring layer the step was answered in. A hierarchical
+	// step whose ring ends at the queried node climbs inside the handler,
+	// so Layer can be below the requested one; the walk continues there.
+	Layer int
 
 	// TGetInfo / TGetNeighbors:
 	Self      Peer

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -227,5 +228,79 @@ func TestAllMsgTypesComplete(t *testing.T) {
 		if m.reqs[mt] == nil || m.errs[mt] == nil || m.srvReqs[mt] == nil || m.srvErrs[mt] == nil {
 			t.Errorf("MsgType %s has no pre-curried counters", name)
 		}
+	}
+}
+
+// TestCallLocalValueSemantics pins what a self call must share with a
+// wire round trip: the handler gets its own copy of the request (a
+// caller mutating its Put buffer afterwards cannot reach stored state),
+// the caller gets its own copy of the response (mutating it cannot reach
+// handler state), a non-OK answer is a RemoteError, a cancelled context
+// fails before the handler runs, and observe sees every served request.
+func TestCallLocalValueSemantics(t *testing.T) {
+	for _, c := range Codecs() {
+		var stored []byte
+		state := []Peer{{Addr: "s1", ID: [20]byte{1}}}
+		var observed []MsgType
+		observe := func(typ MsgType, ok bool) { observed = append(observed, typ) }
+		h := func(req Request) Response {
+			switch req.Type {
+			case TStorePut:
+				stored = req.Items[0].Value // retained, as a store would
+				return Response{OK: true, Applied: 1}
+			case TGetNeighbors:
+				return Response{OK: true, Succ: state}
+			}
+			return Errorf("no %s here", req.Type)
+		}
+		ctx := context.Background()
+
+		val := []byte("value")
+		if _, err := CallLocal(ctx, c, "self", Request{Type: TStorePut, Items: []StoreItem{{Key: "k", Value: val}}}, h, observe); err != nil {
+			t.Fatalf("%s: put: %v", c.Name(), err)
+		}
+		val[0] = 'X'
+		if string(stored) != "value" {
+			t.Errorf("%s: caller's buffer aliases the stored value: %q", c.Name(), stored)
+		}
+
+		resp, err := CallLocal(ctx, c, "self", Request{Type: TGetNeighbors, Layer: 1}, h, observe)
+		if err != nil || len(resp.Succ) != 1 {
+			t.Fatalf("%s: neighbors: %v %+v", c.Name(), err, resp)
+		}
+		resp.Succ[0].Addr = "mutated"
+		if state[0].Addr != "s1" {
+			t.Errorf("%s: response aliases handler state", c.Name())
+		}
+
+		_, err = CallLocal(ctx, c, "self", Request{Type: TPing}, h, observe)
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Type != TPing {
+			t.Errorf("%s: non-OK answer: err = %v, want RemoteError", c.Name(), err)
+		}
+
+		cctx, cancel := context.WithCancel(ctx)
+		cancel()
+		_, err = CallLocal(cctx, c, "self", Request{Type: TGetNeighbors}, h, observe)
+		var ne *NetError
+		if !errors.As(err, &ne) || ne.Sent || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled call: err = %v, want a not-sent NetError", c.Name(), err)
+		}
+		if want := []MsgType{TStorePut, TGetNeighbors, TPing}; fmt.Sprint(observed) != fmt.Sprint(want) {
+			t.Errorf("%s: observed %v, want %v", c.Name(), observed, want)
+		}
+	}
+}
+
+// TestPreambleRejectsVersion1: a version-1 peer would read a climbed
+// find_closest answer as one from the layer it asked, so a mixed pair
+// must fail at the session preamble instead.
+func TestPreambleRejectsVersion1(t *testing.T) {
+	if _, err := readPreamble(bytes.NewReader(appendPreamble(nil, Binary{}))); err != nil {
+		t.Fatalf("current preamble refused: %v", err)
+	}
+	v1 := []byte{0x00, 'H', 'W', 1, codecIDBinary, 0, 0, 0}
+	if _, err := readPreamble(bytes.NewReader(v1)); err == nil {
+		t.Error("version-1 preamble accepted")
 	}
 }
